@@ -28,8 +28,7 @@ from typing import Any, Mapping
 from repro.asr.base import ASRSystem
 from repro.asr.registry import build_asr
 from repro.core.detector import MVPEarsDetector
-from repro.pipeline.engine import resolve_transcription_cache
-from repro.similarity.engine import SimilarityEngine, resolve_score_cache
+from repro.similarity.engine import SimilarityEngine
 from repro.specs import ASRSpec, DetectorSpec, InvalidSpecError
 
 
@@ -116,9 +115,9 @@ def build_feature_engine(features_spec):
     """
     if features_spec.backend == "off":
         return None
-    from repro.dsp.engine import FeatureEngine, resolve_feature_cache
+    from repro.dsp.engine import FeatureEngine
     return FeatureEngine(backend=features_spec.backend,
-                         cache=resolve_feature_cache(features_spec.cache))
+                         cache=features_spec.cache)
 
 
 def _training_source(spec: DetectorSpec) -> str:
@@ -155,9 +154,10 @@ def build(spec: DetectorSpec | Mapping | str | None = None, *,
         overrides: escape hatch for non-serialisable components, used by
             the legacy ``default_detector`` shim.  Recognised keys:
             ``"transforms"`` (built ``Transform`` instances replacing
-            the suite's transformed-target views), ``"cache"`` (a
-            :class:`TranscriptionCache` instance), ``"score_cache"`` (a
-            :class:`PairScoreCache` instance), ``"scorer"`` (a
+            the suite's transformed-target views), ``"cache"`` and
+            ``"score_cache"`` (any cache policy, instances included —
+            see :meth:`~repro.content_cache.ContentCache.resolve`),
+            ``"scorer"`` (a
             :class:`SimilarityScorer` instance), ``"feature_engine"`` (a
             :class:`~repro.dsp.engine.FeatureEngine` or ``None``).
 
@@ -174,10 +174,8 @@ def build(spec: DetectorSpec | Mapping | str | None = None, *,
     scoring = SimilarityEngine(
         scorer=overrides.get("scorer", spec.scoring.scorer),
         backend=spec.scoring.backend,
-        cache=resolve_score_cache(overrides.get("score_cache",
-                                                spec.scoring.cache)))
-    cache = resolve_transcription_cache(overrides.get("cache",
-                                                      spec.pipeline.cache))
+        cache=overrides.get("score_cache", spec.scoring.cache))
+    cache = overrides.get("cache", spec.pipeline.cache)
     feature_engine = overrides.get("feature_engine",
                                    build_feature_engine(spec.pipeline.features))
     target = _resolve_member(spec.suite.target)

@@ -22,8 +22,6 @@ import warnings
 
 from repro.asr.registry import default_suite_names
 from repro.core.detector import MVPEarsDetector
-from repro.pipeline.cache import TranscriptionCache
-from repro.similarity.score_cache import PairScoreCache
 from repro.similarity.scorer import SimilarityScorer
 from repro.specs import DEFENSE_MODES, DetectorSpec  # noqa: F401 - re-export
 
@@ -56,8 +54,8 @@ def default_detector(target=_UNSET, auxiliaries=_UNSET, classifier=_UNSET,
         workers: transcription worker-pool size (spec:
             ``pipeline.workers``).
         cache: transcription cache policy — a policy string, bool, or a
-            :class:`TranscriptionCache` instance (spec:
-            ``pipeline.cache``).
+            :class:`~repro.pipeline.cache.TranscriptionCache` instance
+            (spec: ``pipeline.cache``).
         defense: ``multi-asr`` / ``transform`` / ``combined`` (spec:
             the shape of ``suite.auxiliaries``).
         transforms: transformation ensemble for the transform-based
@@ -68,7 +66,8 @@ def default_detector(target=_UNSET, auxiliaries=_UNSET, classifier=_UNSET,
             ``scoring.scorer``).
         scoring_backend: scoring backend name (spec: ``scoring.backend``).
         score_cache: pair-score cache policy — a policy string, bool, or
-            a :class:`PairScoreCache` instance (spec: ``scoring.cache``).
+            a :class:`~repro.similarity.score_cache.PairScoreCache`
+            instance (spec: ``scoring.cache``).
 
     Returns:
         A fitted :class:`~repro.core.detector.MVPEarsDetector` (a
@@ -98,20 +97,9 @@ def default_detector(target=_UNSET, auxiliaries=_UNSET, classifier=_UNSET,
     if "auxiliaries" in passed:
         spec_kwargs["auxiliaries"] = tuple(passed["auxiliaries"])
 
-    if "cache" in passed:
-        value = passed["cache"]
-        if isinstance(value, TranscriptionCache):
-            overrides["cache"] = value
-        elif isinstance(value, (bool, type(None))):
-            spec_kwargs["cache"] = "shared" if value else "off"
-        else:
-            spec_kwargs["cache"] = value
-    if "score_cache" in passed:
-        value = passed["score_cache"]
-        if isinstance(value, (PairScoreCache, bool, type(None))):
-            overrides["score_cache"] = value
-        else:
-            spec_kwargs["score_cache"] = value
+    for name in ("cache", "score_cache"):
+        if name in passed:     # any policy the cache kind's resolve() takes
+            overrides[name] = passed[name]
     if "scorer" in passed:
         value = passed["scorer"]
         if isinstance(value, SimilarityScorer):

@@ -88,7 +88,7 @@ class MVPEarsDetector:
                  scorer: SimilarityScorer | str | None = None,
                  workers: int | None = None,
                  engine: TranscriptionEngine | None = None,
-                 cache: TranscriptionCache | bool | None = True,
+                 cache: TranscriptionCache | bool | str | None = True,
                  scoring: SimilarityEngine | ScoringBackend | str | None = None,
                  feature_engine=None):
         if not auxiliary_asrs:

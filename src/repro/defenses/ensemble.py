@@ -101,7 +101,7 @@ class TransformEnsembleDetector(MVPEarsDetector):
                  scorer: SimilarityScorer | str | None = None,
                  workers: int | None = None,
                  engine: TranscriptionEngine | None = None,
-                 cache: TranscriptionCache | bool | None = True,
+                 cache: TranscriptionCache | bool | str | None = True,
                  scoring: SimilarityEngine | ScoringBackend | str | None = None,
                  feature_engine=None):
         transforms = list(transforms) if transforms is not None else \

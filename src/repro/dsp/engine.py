@@ -23,11 +23,10 @@ names via :func:`register_feature_backend`.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from repro.dsp.feature_cache import FeatureCache, FeatureCacheStats
+from repro.content_cache import CacheStats
+from repro.dsp.feature_cache import FeatureCache
 from repro.dsp.features import FeatureExtractor
 
 
@@ -95,31 +94,10 @@ register_feature_backend("reference", ReferenceFeatureBackend())
 register_feature_backend("fast", FastFeatureBackend())
 
 
-@lru_cache(maxsize=1)
-def get_shared_feature_cache() -> FeatureCache:
-    """The process-wide shared :class:`FeatureCache` (created on first use)."""
-    return FeatureCache(capacity=2048)
-
-
-def resolve_feature_cache(cache) -> FeatureCache | None:
-    """Normalise a feature-cache argument to an instance or ``None``.
-
-    ``True``/``"shared"`` select the process-wide shared cache,
-    ``False``/``None``/``"off"`` disable caching, ``"private"`` builds a
-    fresh in-memory cache, a path-like string (ending in ``.npz``) an
-    on-disk store, and an instance passes through — the same policy
-    surface as the transcription and pair-score caches (see
-    :func:`repro.caching.resolve_cache_policy`).
-    """
-    from repro.caching import resolve_cache_policy
-    resolved = resolve_cache_policy(cache, FeatureCache,
-                                    "feature-cache policy",
-                                    suffixes=(".npz",))
-    if resolved is True:
-        return get_shared_feature_cache()
-    if resolved is False:
-        return None
-    return resolved
+#: The process-wide feature cache default engines share.
+get_shared_feature_cache = FeatureCache.shared
+#: Feature-cache policy (``FeaturesSpec.cache``) -> cache or ``None``.
+resolve_feature_cache = FeatureCache.resolve
 
 
 class FeatureEngine:
@@ -128,26 +106,29 @@ class FeatureEngine:
     Args:
         backend: compute backend — an instance or a registry name
             (``"fast"``, the default, or ``"reference"``).
-        cache: feature cache policy — a
+        cache: feature-cache policy (see
+            :meth:`~repro.content_cache.ContentCache.resolve`) — a
             :class:`~repro.dsp.feature_cache.FeatureCache` instance,
-            ``True`` for the process-wide shared cache (default), or
-            ``False``/``None`` to disable caching.
+            ``True`` for the default (the process-wide shared cache
+            unless ``REPRO_FEATURE_CACHE`` says ``off`` or ``private``),
+            or ``False``/``None`` to disable caching.
 
     Extractors whose :attr:`~repro.dsp.features.FeatureExtractor.cache_tag`
     is ``None`` (unnamed custom front ends) are computed directly and
     never cached, so a tag collision can not serve wrong features.
     """
 
-    def __init__(self, backend="fast", cache: FeatureCache | bool | None = True):
+    def __init__(self, backend="fast",
+                 cache: FeatureCache | bool | str | None = True):
         self.backend = (get_feature_backend(backend)
                         if isinstance(backend, str) else backend)
         self.cache = resolve_feature_cache(cache)
 
     @property
-    def stats(self) -> FeatureCacheStats:
+    def stats(self) -> CacheStats:
         """Hit/miss statistics of the underlying cache (zeros when off)."""
         if self.cache is None:
-            return FeatureCacheStats()
+            return CacheStats()
         return self.cache.stats
 
     def features(self, extractor: FeatureExtractor, samples: np.ndarray,

@@ -23,7 +23,6 @@ one (Python floats round-trip ``repr``-exactly through JSON).
 from __future__ import annotations
 
 import json
-import os
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
@@ -253,31 +252,6 @@ def _fork_context():
         return None
 
 
-def attach_worker_caches(directory: str) -> None:
-    """Bind the process-wide shared caches to journals under ``directory``.
-
-    Called in a freshly forked shard worker (mirroring the serving
-    layer's ``attach_shared_caches``): the shared transcription and
-    pair-score caches are rebuilt on ``.jsonl`` journals in the run
-    directory, so every decode/score a worker pays is write-through
-    journaled and eagerly reloaded by sibling workers and resumed runs.
-    """
-    import repro.pipeline.engine as pipeline_engine
-    import repro.similarity.engine as similarity_engine
-
-    os.makedirs(directory, exist_ok=True)
-    os.environ["REPRO_TRANSCRIPTION_CACHE"] = os.path.join(
-        directory, "transcriptions.jsonl")
-    os.environ[similarity_engine.SCORE_CACHE_ENV] = os.path.join(
-        directory, "scores.jsonl")
-    pipeline_engine.get_shared_cache.cache_clear()
-    similarity_engine.get_shared_score_cache.cache_clear()
-    # Instantiate now: the constructors eagerly load existing journal
-    # entries, so a resumed worker starts warm.
-    pipeline_engine.get_shared_cache()
-    similarity_engine.get_shared_score_cache()
-
-
 def _intern_shared_samples(experiment) -> None:
     """Re-home the bundle's waveforms onto the shared sample arena.
 
@@ -296,7 +270,7 @@ def _intern_shared_samples(experiment) -> None:
         return
     from dataclasses import replace
 
-    from repro.pipeline.cache import waveform_fingerprint
+    from repro.serving.arena import intern_waveform
     try:
         bundle = experiment.bundle()
     except Exception:
@@ -304,20 +278,26 @@ def _intern_shared_samples(experiment) -> None:
     for collection in (bundle.benign, bundle.whitebox,
                        bundle.blackbox, bundle.nontargeted):
         for index, sample in enumerate(collection):
-            audio = sample.waveform
-            if arena.owns(audio.samples):
-                continue
-            view = arena.intern(waveform_fingerprint(audio), audio.samples)
-            if view is not None:
-                collection[index] = replace(
-                    sample, waveform=replace(audio, samples=view))
+            audio = intern_waveform(arena, sample.waveform)
+            if audio is not sample.waveform:
+                collection[index] = replace(sample, waveform=audio)
 
 
 def _shard_worker(experiment, units: list[tuple[int, WorkUnit]],
                   result_queue, cache_dir: str | None) -> None:
-    """Run one worker's statically assigned units (forked child body)."""
+    """Run one worker's statically assigned units (forked child body).
+
+    With a ``cache_dir``, the shared transcription and pair-score caches
+    become its journals: every decode/score a worker pays is written
+    through and reloaded by sibling workers and resumed runs.
+    """
     if cache_dir is not None:
-        attach_worker_caches(cache_dir)
+        from repro.content_cache import open_cache_dir, set_shared_cache
+        from repro.pipeline.cache import TranscriptionCache
+        from repro.similarity.score_cache import PairScoreCache
+        for cache in open_cache_dir(cache_dir,
+                                    (TranscriptionCache, PairScoreCache)):
+            set_shared_cache(cache)
     for index, unit in units:
         try:
             rows = canonical_rows(experiment.run_shard(unit))

@@ -17,7 +17,7 @@ progress on the :mod:`repro.store` primitives:
     the sweep report.
 ``caches/``
     Shared-cache journals the forked shard workers bind to (see
-    :func:`repro.experiments.runner.attach_worker_caches`).
+    :func:`repro.content_cache.open_cache_dir`).
 ``report.json`` / ``report.md``
     The reduced final table, written only when the run completes.
 """

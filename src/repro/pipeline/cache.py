@@ -17,59 +17,26 @@ be the same system; custom variants with identical names but different
 configuration must use distinct names or a private cache
 (``cache=False`` / a dedicated :class:`TranscriptionCache`).
 
-Storage is a thread-safe in-memory LRU, optionally backed by a store on
-disk so repeated experiment *runs* (new processes) skip decoding too.
-Two disk formats are supported, chosen by the path suffix:
-
-* ``.json`` — a snapshot file, written atomically (temp file +
-  ``os.replace``, see :mod:`repro.store`) by an explicit :meth:`save`;
-* ``.jsonl`` — an append-only journal shared by concurrent *processes*:
-  every :meth:`put` appends its entry immediately (write-through), and
-  :meth:`refresh` merges entries other processes appended since the
-  last look.  This is the store the multi-worker serving layer
-  (:mod:`repro.serving.service`) points its workers at.
+Storage, statistics and the disk formats (a ``.json`` snapshot or a
+``.jsonl`` journal shared by the serving workers) are those of
+:class:`~repro.content_cache.ContentCache`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
 
 from repro.asr.base import Transcription
 from repro.audio.waveform import Waveform
+from repro.content_cache import (  # noqa: F401 (CacheStats re-exported)
+    CacheStats,
+    Codec,
+    ContentCache,
+    content_fingerprint,
+)
 
-
-def waveform_fingerprint(audio: Waveform) -> str:
-    """Content hash identifying a waveform's audio (samples + rate)."""
-    digest = hashlib.sha1()
-    # Waveform guarantees C-contiguous float64 samples at ingest, so the
-    # raw buffer is the canonical content — no per-lookup re-conversion.
-    digest.update(audio.samples.tobytes())
-    digest.update(str(int(audio.sample_rate)).encode("ascii"))
-    return digest.hexdigest()
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss counters of one :class:`TranscriptionCache`."""
-
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0 when unused)."""
-        if self.lookups == 0:
-            return 0.0
-        return self.hits / self.lookups
+#: Content hash identifying a waveform's audio (samples + rate).
+waveform_fingerprint = content_fingerprint
 
 
 def _transcription_to_json(result: Transcription) -> dict:
@@ -99,34 +66,13 @@ def _transcription_from_json(payload: dict) -> Transcription:
     )
 
 
-class TranscriptionCache:
-    """Thread-safe LRU cache of transcriptions keyed by audio content.
+class TranscriptionCache(ContentCache):
+    """LRU cache of transcriptions keyed by ASR identity + audio content."""
 
-    Args:
-        capacity: maximum number of entries kept in memory; the least
-            recently used entry is evicted first.
-        path: optional on-disk store.  A ``.jsonl`` path is an
-            append-only journal (write-through puts, concurrent-process
-            safe, see the module docstring); any other path is a JSON
-            snapshot file written by an explicit :meth:`save`.  Existing
-            entries are loaded eagerly.
-    """
-
-    def __init__(self, capacity: int = 4096, path: str | None = None):
-        if capacity <= 0:
-            raise ValueError("cache capacity must be positive")
-        self.capacity = capacity
-        self.path = path
-        self.stats = CacheStats()
-        self._entries: OrderedDict[str, Transcription] = OrderedDict()
-        self._lock = threading.Lock()
-        self._journal = None
-        if path is not None and _is_journal_path(path):
-            from repro.store import Journal
-            self._journal = Journal(path)
-            self.refresh()
-        elif path is not None and os.path.exists(path):
-            self.load(path)
+    kind = "transcription"
+    codec = Codec(encode=_transcription_to_json,
+                  decode=_transcription_from_json)
+    default_capacity = 8192
 
     @staticmethod
     def key_for(asr, audio: Waveform) -> str:
@@ -136,121 +82,4 @@ class TranscriptionCache:
         and ``short_name`` together identify the system (see the module
         docstring for the same-name caveat).
         """
-        return f"{asr.short_name}|{asr.name}:{waveform_fingerprint(audio)}"
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def get(self, key: str) -> Transcription | None:
-        """Look up ``key``, updating LRU order and hit/miss statistics."""
-        with self._lock:
-            result = self._entries.get(key)
-            if result is None:
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return result
-
-    def put(self, key: str, result: Transcription) -> None:
-        """Store ``result`` under ``key``, evicting the LRU entry if full.
-
-        In journal mode the entry is also appended to the on-disk
-        journal immediately (write-through), so other processes sharing
-        the path see it on their next :meth:`refresh`.
-        """
-        with self._lock:
-            self._entries[key] = result
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-        if self._journal is not None:
-            self._journal.append({"k": key,
-                                  "v": _transcription_to_json(result)})
-
-    def refresh(self) -> int:
-        """Merge journal entries other processes appended; returns count.
-
-        Only meaningful in journal mode (``.jsonl`` path); a no-op that
-        returns 0 otherwise.  Merged entries do not touch the hit/miss
-        statistics.
-        """
-        if self._journal is None:
-            return 0
-        records = self._journal.replay()
-        merged = 0
-        with self._lock:
-            for record in records:
-                try:
-                    entry = _transcription_from_json(record["v"])
-                except (KeyError, TypeError, ValueError):
-                    continue
-                self._entries[record["k"]] = entry
-                self._entries.move_to_end(record["k"])
-                merged += 1
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-        return merged
-
-    def clear(self) -> None:
-        """Drop every entry and reset the statistics."""
-        with self._lock:
-            self._entries.clear()
-            self.stats = CacheStats()
-
-    # ------------------------------------------------------------ disk store
-    def save(self, path: str | None = None) -> str:
-        """Write the cache to ``path`` (default: the constructor path).
-
-        Snapshot paths are written atomically (temp file +
-        ``os.replace``), so a crash mid-save leaves the previous store
-        intact.  Saving to the cache's own journal path compacts the
-        journal to the current in-memory snapshot — a single-writer
-        operation (see :meth:`repro.store.Journal.rewrite`).
-        """
-        from repro.store import Journal, atomic_write_text
-
-        path = path or self.path
-        if path is None:
-            raise ValueError("no path given and cache has no backing file")
-        with self._lock:
-            payload = {key: _transcription_to_json(result)
-                       for key, result in self._entries.items()}
-        if _is_journal_path(path):
-            journal = (self._journal
-                       if self._journal is not None and path == self.path
-                       else Journal(path))
-            journal.rewrite({"k": key, "v": value}
-                            for key, value in payload.items())
-        else:
-            atomic_write_text(path, json.dumps(payload))
-        return path
-
-    def load(self, path: str | None = None) -> int:
-        """Merge entries from ``path`` into the cache; returns the count."""
-        path = path or self.path
-        if path is None:
-            raise ValueError("no path given and cache has no backing file")
-        if _is_journal_path(path):
-            from repro.store import Journal
-            payload = {record["k"]: record["v"]
-                       for record in Journal(path).replay()
-                       if "k" in record and "v" in record}
-        else:
-            with open(path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        with self._lock:
-            for key, entry in payload.items():
-                self._entries[key] = _transcription_from_json(entry)
-                self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-        return len(payload)
-
-
-def _is_journal_path(path: str) -> bool:
-    """Whether a cache path selects the append-only journal format."""
-    return os.fspath(path).endswith(".jsonl")
+        return f"{asr.short_name}|{asr.name}:{content_fingerprint(audio)}"

@@ -24,12 +24,13 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from repro.asr.base import ASRSystem, Transcription
 from repro.audio.waveform import Waveform
-from repro.pipeline.cache import CacheStats, TranscriptionCache
+from repro.content_cache import CacheStats
+from repro.pipeline.cache import TranscriptionCache
 
 #: Environment variable overriding the default worker-pool size.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -45,27 +46,23 @@ def resolve_worker_count(n_tasks: int | None = None) -> int:
     Resolution order: the ``REPRO_WORKERS`` environment variable, then the
     CPU count.  When ``n_tasks`` is given the result is capped at it —
     there is no point keeping more threads than concurrent transcriptions.
+    ``REPRO_WORKERS=0`` resolves to 0, the sequential path, as it does
+    through the spec overlay (and a negative value is left for the
+    engine to reject).
     """
     raw = os.environ.get(WORKERS_ENV)
     workers = int(raw) if raw else (os.cpu_count() or 1)
+    if workers <= 0:
+        return workers
     if n_tasks is not None:
         workers = min(workers, n_tasks)
     return max(1, workers)
 
 
-@lru_cache(maxsize=1)
-def get_shared_cache() -> TranscriptionCache:
-    """The process-wide transcription cache shared by default engines.
-
-    Sharing one content-hash store across every engine means an engine
-    built for DS0+{DS1} reuses transcriptions another engine computed for
-    DS0+{DS1, GCS, AT} — the cross-experiment win that makes a full
-    benchmark run cheap.  Set ``REPRO_TRANSCRIPTION_CACHE`` to a file path
-    to persist the shared cache across processes (call
-    :meth:`TranscriptionEngine.save_cache` to write it out).
-    """
-    return TranscriptionCache(capacity=8192,
-                              path=os.environ.get("REPRO_TRANSCRIPTION_CACHE"))
+#: The process-wide transcription cache default engines share.
+get_shared_cache = TranscriptionCache.shared
+#: Transcription-cache policy (``PipelineSpec.cache``) -> cache or None.
+resolve_transcription_cache = TranscriptionCache.resolve
 
 
 @lru_cache(maxsize=1)
@@ -96,20 +93,6 @@ def get_shared_sample_arena():
         return ShmArena(int(megabytes * (1 << 20)))
     except (ImportError, OSError, ValueError):
         return None
-
-
-def resolve_transcription_cache(spec) -> TranscriptionCache | bool:
-    """Coerce a cache policy into an engine ``cache`` argument.
-
-    The policy surface (``"shared"``/``"private"``/``"off"``/JSON path,
-    a bool, or a :class:`TranscriptionCache` instance) is shared with
-    :func:`repro.similarity.engine.resolve_score_cache` — see
-    :func:`repro.caching.resolve_cache_policy`.  This is what
-    :class:`~repro.specs.PipelineSpec`'s ``cache`` field feeds through.
-    """
-    from repro.caching import resolve_cache_policy
-    return resolve_cache_policy(spec, TranscriptionCache,
-                                "transcription-cache policy")
 
 
 @dataclass(frozen=True)
@@ -167,9 +150,12 @@ class TranscriptionEngine:
         workers: pool size.  ``0`` disables the pool entirely (the
             original sequential path); ``None`` resolves a default from
             ``REPRO_WORKERS`` / the CPU count, capped at the suite size.
-        cache: ``True`` (default) shares the process-wide cache from
-            :func:`get_shared_cache`; ``False``/``None`` disables caching;
-            a :class:`TranscriptionCache` instance is used as given.
+        cache: a transcription-cache policy (see
+            :meth:`~repro.content_cache.ContentCache.resolve`).  ``True``
+            (default) is the process-wide cache from
+            :func:`get_shared_cache` unless ``REPRO_TRANSCRIPTION_CACHE``
+            says ``off`` or ``private``; ``False``/``None`` disables
+            caching; a :class:`TranscriptionCache` is used as given.
         cache_path: convenience — when given (and ``cache`` is ``True``)
             a private on-disk cache at this path is used instead of the
             shared one.
@@ -189,7 +175,7 @@ class TranscriptionEngine:
 
     def __init__(self, target_asr: ASRSystem, auxiliary_asrs: list[ASRSystem],
                  workers: int | None = None,
-                 cache: TranscriptionCache | bool | None = True,
+                 cache: TranscriptionCache | bool | str | None = True,
                  cache_path: str | None = None,
                  feature_engine=None,
                  sample_arena=None):
@@ -204,13 +190,9 @@ class TranscriptionEngine:
         if workers < 0:
             raise ValueError("workers must be >= 0")
         self.workers = workers
-        if isinstance(cache, TranscriptionCache):
-            self.cache: TranscriptionCache | None = cache
-        elif cache:
-            self.cache = (TranscriptionCache(path=cache_path)
-                          if cache_path is not None else get_shared_cache())
-        else:
-            self.cache = None
+        if cache is True and cache_path is not None:
+            cache = TranscriptionCache(path=cache_path)
+        self.cache: TranscriptionCache | None = TranscriptionCache.resolve(cache)
         self._pool: ThreadPoolExecutor | None = None
         # Single-flight bookkeeping: key -> Event set when the first task
         # to decode that (ASR, audio) pair has stored its result.
@@ -235,11 +217,8 @@ class TranscriptionEngine:
         Returns a snapshot copy, so callers can diff before/after values
         around a batch (the live stats object mutates in place).
         """
-        from dataclasses import replace
-
         if self.feature_engine is None:
-            from repro.dsp.feature_cache import FeatureCacheStats
-            return FeatureCacheStats()
+            return CacheStats()
         return replace(self.feature_engine.stats)
 
     def _executor(self) -> ThreadPoolExecutor:
@@ -297,24 +276,13 @@ class TranscriptionEngine:
         Each distinct clip (by content hash) is interned once; the
         returned waveforms carry zero-copy read-only views over the
         arena pages, so a fork pool's children read shared physical
-        memory instead of copy-on-write duplicates.  Clips the arena
-        cannot take (full, or this is a fork child seeing a clip the
-        parent never interned) pass through unchanged — the arena is an
-        optimisation, never a correctness dependency.
+        memory instead of copy-on-write duplicates (see
+        :func:`~repro.serving.arena.intern_waveform`).
         """
-        arena = self.sample_arena
-        if arena is None:
+        if self.sample_arena is None:
             return audios
-        from repro.pipeline.cache import waveform_fingerprint
-        adopted = []
-        for audio in audios:
-            if arena.owns(audio.samples):
-                adopted.append(audio)
-                continue
-            view = arena.intern(waveform_fingerprint(audio), audio.samples)
-            adopted.append(audio if view is None
-                           else replace(audio, samples=view))
-        return adopted
+        from repro.serving.arena import intern_waveform
+        return [intern_waveform(self.sample_arena, audio) for audio in audios]
 
     def _prewarm_features(self, audios: list[Waveform]) -> None:
         """Batch-fill the feature cache for every clip a member will decode.

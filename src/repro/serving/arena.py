@@ -54,7 +54,7 @@ import os
 import secrets
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -391,6 +391,20 @@ def share_waveform(arena: ShmArena, audio) -> ShmClip | None:
     return ShmClip(ref=ref, sample_rate=audio.sample_rate, text=audio.text,
                    label=audio.label,
                    metadata=dict(audio.metadata) if audio.metadata else None)
+
+
+def intern_waveform(arena: ShmArena, audio):
+    """``audio`` over a content-interned, read-only view of ``arena``.
+
+    Returns ``audio`` itself when the arena already holds its samples or
+    cannot take them (full, or a fork child seeing a clip the parent
+    never interned): the arena is an optimisation, never a requirement.
+    """
+    if arena.owns(audio.samples):
+        return audio
+    from repro.content_cache import content_fingerprint
+    view = arena.intern(content_fingerprint(audio), audio.samples)
+    return audio if view is None else replace(audio, samples=view)
 
 
 def restore_waveform(arena: ShmArena, clip: ShmClip):

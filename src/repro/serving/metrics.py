@@ -24,6 +24,11 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.content_cache import CacheStats
+
+#: Key prefixes of the transcription, pair-score and feature caches.
+_CACHE_PREFIXES = ("", "score_", "feature_")
+
 #: How many request-latency samples the reservoir keeps for percentiles.
 LATENCY_RESERVOIR = 4096
 
@@ -152,28 +157,19 @@ class ServingMetrics:
                 }
                 for name, stats in self.stages.items()
             }
-            cache_lookups = self.cache_hits + self.cache_misses
-            score_lookups = self.score_cache_hits + self.score_cache_misses
-            feature_lookups = (self.feature_cache_hits
-                               + self.feature_cache_misses)
+            caches = {}
+            for prefix in _CACHE_PREFIXES:
+                stats = CacheStats(getattr(self, f"{prefix}cache_hits"),
+                                   getattr(self, f"{prefix}cache_misses"))
+                caches.update({f"{prefix}cache_hits": stats.hits,
+                               f"{prefix}cache_misses": stats.misses,
+                               f"{prefix}cache_hit_rate": stats.hit_rate})
             return {
                 "requests": self.requests,
                 "batches": self.batches,
                 "mean_batch_size": (self.requests / self.batches
                                     if self.batches else 0.0),
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "cache_hit_rate": (self.cache_hits / cache_lookups
-                                   if cache_lookups else 0.0),
-                "score_cache_hits": self.score_cache_hits,
-                "score_cache_misses": self.score_cache_misses,
-                "score_cache_hit_rate": (self.score_cache_hits / score_lookups
-                                         if score_lookups else 0.0),
-                "feature_cache_hits": self.feature_cache_hits,
-                "feature_cache_misses": self.feature_cache_misses,
-                "feature_cache_hit_rate": (
-                    self.feature_cache_hits / feature_lookups
-                    if feature_lookups else 0.0),
+                **caches,
                 "ipc_bytes_out": self.ipc_bytes_out,
                 "ipc_bytes_in": self.ipc_bytes_in,
                 "requests_retried": self.requests_retried,
@@ -193,17 +189,16 @@ class ServingMetrics:
     def format_table(self) -> str:
         """Human-readable rendering of :meth:`snapshot` for the CLI."""
         snap = self.snapshot()
+        caches = "".join(
+            f"  {label} {snap[f'{prefix}cache_hit_rate']:.0%} "
+            f"({snap[f'{prefix}cache_hits']}/"
+            f"{snap[f'{prefix}cache_hits'] + snap[f'{prefix}cache_misses']})"
+            for prefix, label in zip(_CACHE_PREFIXES, ("cache hit rate",
+                                                       "score cache",
+                                                       "feature cache")))
         lines = [
             f"requests {snap['requests']}  batches {snap['batches']}  "
-            f"mean batch {snap['mean_batch_size']:.2f}  "
-            f"cache hit rate {snap['cache_hit_rate']:.0%} "
-            f"({snap['cache_hits']}/{snap['cache_hits'] + snap['cache_misses']})"
-            f"  score cache {snap['score_cache_hit_rate']:.0%} "
-            f"({snap['score_cache_hits']}/"
-            f"{snap['score_cache_hits'] + snap['score_cache_misses']})"
-            f"  feature cache {snap['feature_cache_hit_rate']:.0%} "
-            f"({snap['feature_cache_hits']}/"
-            f"{snap['feature_cache_hits'] + snap['feature_cache_misses']})",
+            f"mean batch {snap['mean_batch_size']:.2f}{caches}",
             f"{'stage':<16}{'clips':>8}{'seconds':>10}{'ms/clip':>10}{'clips/s':>10}",
         ]
         for name in ("recognition", "similarity", "classification", "total"):

@@ -184,15 +184,12 @@ class _Request:
 
 def _refresh_shared_caches(pipelines: Mapping[str, Any]) -> None:
     """Merge journal entries other workers appended since the last look."""
-    seen: set[int] = set()
-    for pipeline in pipelines.values():
-        detector = pipeline.detector
-        for cache in (detector.engine.cache, detector.scoring.cache):
-            if cache is not None and id(cache) not in seen:
-                seen.add(id(cache))
-                refresh = getattr(cache, "refresh", None)
-                if refresh is not None:
-                    refresh()
+    caches = {id(cache): cache for pipeline in pipelines.values()
+              for cache in (pipeline.detector.engine.cache,
+                            pipeline.detector.scoring.cache)
+              if cache is not None}
+    for cache in caches.values():
+        cache.refresh()
 
 
 def _detect_one(pipeline, audio: Waveform) -> dict:
@@ -233,7 +230,7 @@ def _post_result(result_conn, item) -> None:
 
 def _worker_main(worker_id: int, pipelines: Mapping[str, Any],
                  task_q, result_conn, max_batch_size: int,
-                 shared_caches: bool, arena: ShmArena | None = None) -> None:
+                 arena: ShmArena | None = None) -> None:
     """Worker loop: drain a micro-batch, detect per tenant, post results.
 
     Tasks are ``(key, tenant, payload)`` tuples — the payload is a
@@ -264,21 +261,18 @@ def _worker_main(worker_id: int, pipelines: Mapping[str, Any],
             except queue.Empty:
                 break
             if extra is None:
-                _run_batch(worker_id, pipelines, batch, result_conn,
-                           shared_caches, arena)
+                _run_batch(worker_id, pipelines, batch, result_conn, arena)
                 return
             batch.append(extra)
-        _run_batch(worker_id, pipelines, batch, result_conn, shared_caches,
-                   arena)
+        _run_batch(worker_id, pipelines, batch, result_conn, arena)
 
 
 def _run_batch(worker_id: int, pipelines, batch, result_conn,
-               shared_caches: bool, arena: ShmArena | None = None) -> None:
-    if shared_caches:
-        try:
-            _refresh_shared_caches(pipelines)
-        except Exception:
-            pass  # a torn refresh must never take down the batch
+               arena: ShmArena | None = None) -> None:
+    try:
+        _refresh_shared_caches(pipelines)
+    except Exception:
+        pass  # a torn refresh must never take down the batch
     by_tenant: dict[str, list] = {}
     for key, tenant, payload in batch:
         try:
@@ -467,8 +461,7 @@ class DetectionService:
         proc = self._ctx.Process(
             target=_worker_main,
             args=(worker_id, self.pipelines, task_q, send_conn,
-                  self.max_batch_size, self.cache_dir is not None,
-                  self._arena),
+                  self.max_batch_size, self._arena),
             name=f"serve-worker-{worker_id}", daemon=True)
         proc.start()
         # Close the parent's copy of the send end *before* any later
@@ -943,24 +936,17 @@ def attach_shared_caches(pipelines: Mapping[str, Any],
                          cache_dir: str) -> None:
     """Rewire every tenant's engines onto concurrency-safe shared stores.
 
-    One journal/directory per cache kind, shared by every tenant and —
-    after the fork — every worker process:
-
-    * ``transcriptions.jsonl`` — :class:`~repro.store.Journal`-backed
-      :class:`~repro.pipeline.cache.TranscriptionCache`;
-    * ``scores.jsonl`` — journal-backed
-      :class:`~repro.similarity.score_cache.PairScoreCache`;
-    * ``features/`` — :class:`~repro.store.ContentDirectoryStore`-backed
-      :class:`~repro.dsp.feature_cache.FeatureCache`.
+    One store per cache kind under ``cache_dir`` (the
+    :func:`~repro.content_cache.open_cache_dir` layout), shared by every
+    tenant and — after the fork — every worker process: the
+    transcription and pair-score journals and the feature directory.
     """
+    from repro.content_cache import open_cache_dir
     from repro.dsp.feature_cache import FeatureCache
     from repro.pipeline.cache import TranscriptionCache
     from repro.similarity.score_cache import PairScoreCache
-    os.makedirs(cache_dir, exist_ok=True)
-    transcription_cache = TranscriptionCache(
-        path=os.path.join(cache_dir, "transcriptions.jsonl"))
-    score_cache = PairScoreCache(path=os.path.join(cache_dir, "scores.jsonl"))
-    feature_cache = FeatureCache(path=os.path.join(cache_dir, "features"))
+    transcription_cache, score_cache, feature_cache = open_cache_dir(
+        cache_dir, (TranscriptionCache, PairScoreCache, FeatureCache))
     for pipeline in pipelines.values():
         detector = pipeline.detector
         detector.engine.cache = transcription_cache

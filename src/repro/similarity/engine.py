@@ -28,13 +28,13 @@ stop recomputing identical pairs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from repro.content_cache import CacheStats
 from repro.errors import UnknownComponentError
 from repro.similarity.kernels import (
     cosine_from_counts,
@@ -44,16 +44,9 @@ from repro.similarity.kernels import (
     token_counts,
 )
 from repro.similarity.phonetic import phonetic_encode
-from repro.similarity.score_cache import (
-    PairScoreCache,
-    ScoreCacheStats,
-    text_fingerprint,
-)
+from repro.similarity.score_cache import PairScoreCache, text_fingerprint
 from repro.similarity.scorer import SimilarityScorer, get_scorer
 from repro.text.normalize import normalize_text, tokenize
-
-#: Environment variable naming an on-disk JSON store for the shared cache.
-SCORE_CACHE_ENV = "REPRO_SCORE_CACHE"
 
 #: The backend used when none is requested.
 DEFAULT_SCORING_BACKEND = "fast"
@@ -238,32 +231,10 @@ def get_scoring_backend(name: str = DEFAULT_SCORING_BACKEND) -> ScoringBackend:
 
 
 # ------------------------------------------------------------- shared cache
-@lru_cache(maxsize=1)
-def get_shared_score_cache() -> PairScoreCache:
-    """The process-wide pair-score cache shared by default engines.
-
-    One content-hash store across every engine means the streaming
-    detector, the micro-batcher and any ad-hoc scoring all reuse each
-    other's pair scores.  Set ``REPRO_SCORE_CACHE`` to a file path to
-    persist the shared cache across processes (call
-    :meth:`SimilarityEngine.save_cache` to write it out).
-    """
-    return PairScoreCache(capacity=65536,
-                          path=os.environ.get(SCORE_CACHE_ENV))
-
-
-def resolve_score_cache(spec) -> PairScoreCache | bool:
-    """Coerce a cache spec into a :class:`SimilarityEngine` cache argument.
-
-    The policy surface (``"shared"``/``"private"``/``"off"``/JSON path,
-    a bool, or a :class:`PairScoreCache` instance) is shared with
-    :func:`repro.pipeline.engine.resolve_transcription_cache` — see
-    :func:`repro.caching.resolve_cache_policy`.  This is what the CLI's
-    ``--score-cache`` flag and :class:`~repro.specs.ScoringSpec`'s
-    ``cache`` field feed through.
-    """
-    from repro.caching import resolve_cache_policy
-    return resolve_cache_policy(spec, PairScoreCache, "score-cache policy")
+#: The process-wide pair-score cache default engines share.
+get_shared_score_cache = PairScoreCache.shared
+#: Score-cache policy (``--score-cache``, ``ScoringSpec.cache``) -> cache.
+resolve_score_cache = PairScoreCache.resolve
 
 
 # -------------------------------------------------------------------- engine
@@ -295,9 +266,12 @@ class SimilarityEngine:
         backend: a :class:`ScoringBackend`, a registry name
             (``"fast"``/``"reference"``), or ``None`` for the default
             fast backend.
-        cache: ``True`` (default) shares the process-wide cache from
-            :func:`get_shared_score_cache`; ``False``/``None`` disables
-            caching; a :class:`PairScoreCache` instance is used as given.
+        cache: a score-cache policy (see
+            :meth:`~repro.content_cache.ContentCache.resolve`).  ``True``
+            (default) is the process-wide cache from
+            :func:`get_shared_score_cache` unless ``REPRO_SCORE_CACHE``
+            says ``off`` or ``private``; ``False``/``None`` disables
+            caching; a :class:`PairScoreCache` is used as given.
         cache_path: convenience — when given (and ``cache`` is ``True``)
             a private on-disk cache at this path is used instead of the
             shared one.
@@ -305,7 +279,7 @@ class SimilarityEngine:
 
     def __init__(self, scorer: SimilarityScorer | str | None = None,
                  backend: ScoringBackend | str | None = None,
-                 cache: PairScoreCache | bool | None = True,
+                 cache: PairScoreCache | bool | str | None = True,
                  cache_path: str | None = None):
         if scorer is None:
             scorer = get_scorer()
@@ -317,20 +291,15 @@ class SimilarityEngine:
         elif isinstance(backend, str):
             backend = get_scoring_backend(backend)
         self.backend = backend
-        if isinstance(cache, PairScoreCache):
-            self.cache: PairScoreCache | None = cache
-        elif cache:
-            self.cache = (PairScoreCache(path=cache_path)
-                          if cache_path is not None
-                          else get_shared_score_cache())
-        else:
-            self.cache = None
+        if cache is True and cache_path is not None:
+            cache = PairScoreCache(path=cache_path)
+        self.cache: PairScoreCache | None = PairScoreCache.resolve(cache)
 
     # -------------------------------------------------------------- plumbing
     @property
-    def stats(self) -> ScoreCacheStats:
+    def stats(self) -> CacheStats:
         """Hit/miss statistics of the engine's cache (zeros if disabled)."""
-        return self.cache.stats if self.cache is not None else ScoreCacheStats()
+        return self.cache.stats if self.cache is not None else CacheStats()
 
     def save_cache(self, path: str | None = None) -> str:
         """Persist the cache to disk (see :meth:`PairScoreCache.save`)."""

@@ -92,6 +92,15 @@ def _check_keys(data: Mapping, cls, path: str) -> None:
             f"(allowed: {sorted(allowed)})" for name in unknown])
 
 
+def _policy_problems(kind, policy: str, path: str) -> list[str]:
+    """A cache policy's problem, checked without reading any cache file."""
+    try:
+        kind.parse_policy(policy)
+    except UnknownComponentError as exc:
+        return [f"{path}: {exc}"]
+    return []
+
+
 def _expect_mapping(data: Any, path: str) -> Mapping:
     if not isinstance(data, Mapping):
         raise InvalidSpecError(
@@ -296,8 +305,8 @@ class ScoringSpec:
         return cls(**kwargs)
 
     def problems(self, path: str = "scoring") -> list[str]:
-        from repro.caching import check_cache_policy
         from repro.similarity.engine import scoring_backend_names
+        from repro.similarity.score_cache import PairScoreCache
         from repro.similarity.scorer import available_method_names
         out = []
         if self.scorer not in available_method_names():
@@ -308,11 +317,7 @@ class ScoringSpec:
             out.append(f"{path}.backend: unknown scoring backend "
                        f"{self.backend!r}; available: "
                        f"{list(scoring_backend_names())}")
-        try:
-            # Policy check only — validation must not read cache files.
-            check_cache_policy(self.cache, "score-cache policy")
-        except UnknownComponentError as exc:
-            out.append(f"{path}.cache: {exc}")
+        out.extend(_policy_problems(PairScoreCache, self.cache, f"{path}.cache"))
         return out
 
 
@@ -377,20 +382,15 @@ class FeaturesSpec:
         return cls(**kwargs)
 
     def problems(self, path: str = "pipeline.features") -> list[str]:
-        from repro.caching import check_cache_policy
         from repro.dsp.engine import feature_backend_names
+        from repro.dsp.feature_cache import FeatureCache
         out = []
         if self.backend != "off" \
                 and self.backend not in feature_backend_names():
             out.append(f"{path}.backend: unknown feature backend "
                        f"{self.backend!r}; available: "
                        f"{['off', *feature_backend_names()]}")
-        try:
-            # Policy check only — validation must not read cache files.
-            check_cache_policy(self.cache, "feature-cache policy",
-                               suffixes=(".npz",))
-        except UnknownComponentError as exc:
-            out.append(f"{path}.cache: {exc}")
+        out.extend(_policy_problems(FeatureCache, self.cache, f"{path}.cache"))
         return out
 
 
@@ -431,16 +431,12 @@ class PipelineSpec:
         return cls(**kwargs)
 
     def problems(self, path: str = "pipeline") -> list[str]:
-        from repro.caching import check_cache_policy
+        from repro.pipeline.cache import TranscriptionCache
         out = []
         if self.workers is not None and self.workers < 0:
             out.append(f"{path}.workers: must be >= 0 or null, "
                        f"got {self.workers}")
-        try:
-            # Policy check only — validation must not read cache files.
-            check_cache_policy(self.cache, "transcription-cache policy")
-        except UnknownComponentError as exc:
-            out.append(f"{path}.cache: {exc}")
+        out.extend(_policy_problems(TranscriptionCache, self.cache, f"{path}.cache"))
         out.extend(self.features.problems(f"{path}.features"))
         return out
 

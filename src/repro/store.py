@@ -8,7 +8,7 @@ processes against one cache directory, so both failure modes became
 load-bearing.  This module holds the three primitives every cache now
 builds on:
 
-* :func:`atomic_write_bytes` / :func:`atomic_write_text` — snapshot
+* :func:`atomic_write_bytes` and its text and ``.npz`` forms — snapshot
   writes through a temp file in the destination directory followed by
   :func:`os.replace`, so readers only ever see the old complete file or
   the new complete file, never a torn one.
@@ -69,6 +69,13 @@ def atomic_write_bytes(path: str, data: bytes) -> str:
 def atomic_write_text(path: str, text: str) -> str:
     """:func:`atomic_write_bytes` for UTF-8 text."""
     return atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def atomic_write_npz(path: str, **arrays: np.ndarray) -> str:
+    """:func:`atomic_write_bytes` for an ``np.savez`` archive."""
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return atomic_write_bytes(path, buffer.getvalue())
 
 
 class Journal:
@@ -172,20 +179,24 @@ class ContentDirectoryStore:
         return os.path.join(self.directory, f"{digest}.npz")
 
     def write(self, key: str, value: np.ndarray) -> None:
-        buffer = io.BytesIO()
-        np.savez(buffer, __key__=np.array(key, dtype=str),
-                 value=np.asarray(value, dtype=np.float64))
-        atomic_write_bytes(self._entry_path(key), buffer.getvalue())
+        atomic_write_npz(self._entry_path(key),
+                         __key__=np.array(key, dtype=str),
+                         value=np.asarray(value, dtype=np.float64))
 
-    def read(self, key: str) -> np.ndarray | None:
-        path = self._entry_path(key)
+    @staticmethod
+    def _load(path: str) -> tuple[str, np.ndarray] | None:
         try:
             with np.load(path, allow_pickle=False) as payload:
-                return np.asarray(payload["value"], dtype=np.float64)
+                return (str(payload["__key__"]),
+                        np.asarray(payload["value"], dtype=np.float64))
         except (OSError, ValueError, KeyError, zipfile.BadZipFile):
             # Missing entry, or an entry written by a different/broken
             # format: treat as a miss rather than failing the lookup.
             return None
+
+    def read(self, key: str) -> np.ndarray | None:
+        entry = self._load(self._entry_path(key))
+        return None if entry is None else entry[1]
 
     def items(self) -> list[tuple[str, np.ndarray]]:
         """Every readable entry as ``(key, value)`` pairs."""
@@ -193,19 +204,9 @@ class ContentDirectoryStore:
             names = sorted(os.listdir(self.directory))
         except OSError:
             return []
-        out = []
-        for name in names:
-            if not name.endswith(".npz"):
-                continue
-            path = os.path.join(self.directory, name)
-            try:
-                with np.load(path, allow_pickle=False) as payload:
-                    out.append((str(payload["__key__"]),
-                                np.asarray(payload["value"],
-                                           dtype=np.float64)))
-            except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-                continue
-        return out
+        entries = (self._load(os.path.join(self.directory, name))
+                   for name in names if name.endswith(".npz"))
+        return [entry for entry in entries if entry is not None]
 
     def __len__(self) -> int:
         try:

@@ -1,7 +1,8 @@
 """Tests for the feature engine, the feature cache, and their wiring.
 
-Covers the cache itself (LRU order, eviction accounting, the ``.npz``
-disk round-trip), cross-suite-member sharing (two front ends with equal
+Covers the feature cache's own guarantees (keys, frozen entries; the
+LRU, statistics and disk stores are tested once per kind in
+``test_content_cache.py``), cross-suite-member sharing (two front ends with equal
 configuration tags hit one entry), the spec / CLI / env configuration
 surface (``pipeline.features``), and the headline guarantee: a detector
 with the feature engine on produces *identical* verdicts and scores to
@@ -47,22 +48,6 @@ def test_cache_key_includes_tag_and_content():
     assert key != FeatureCache.key_for("mfcc:test", samples, 8_000)
 
 
-def test_cache_hit_miss_and_lru_eviction():
-    cache = FeatureCache(capacity=2)
-    assert cache.get("a") is None                      # miss
-    cache.put("a", np.ones((2, 2)))
-    cache.put("b", np.zeros((2, 2)))
-    assert cache.get("a") is not None                  # "a" now most recent
-    cache.put("c", np.ones((1, 1)))                    # evicts LRU "b"
-    assert "b" not in cache
-    assert "a" in cache and "c" in cache
-    assert cache.stats.hits == 1
-    assert cache.stats.misses == 1
-    assert cache.stats.evictions == 1
-    assert cache.stats.lookups == 2
-    assert cache.stats.hit_rate == 0.5
-
-
 def test_cache_entries_are_frozen_copies():
     cache = FeatureCache()
     original = np.ones((2, 3))
@@ -74,39 +59,12 @@ def test_cache_entries_are_frozen_copies():
         stored[0, 0] = 9.0                             # read-only entry
 
 
-def test_cache_clear_resets_stats():
-    cache = FeatureCache()
-    cache.put("k", np.ones(3))
-    cache.get("k")
-    cache.clear()
-    assert len(cache) == 0
-    assert cache.stats.lookups == 0
-    assert cache.stats.hit_rate == 0.0
-
-
 def test_cache_rejects_nonpositive_capacity():
     with pytest.raises(ValueError):
         FeatureCache(capacity=0)
 
 
 # ---------------------------------------------------------- disk round-trip
-def test_cache_disk_round_trip(tmp_path):
-    path = str(tmp_path / "features.npz")
-    cache = FeatureCache(path=path)
-    matrices = {f"key_{i}": np.random.default_rng(i).standard_normal((4, 3))
-                for i in range(3)}
-    for key, value in matrices.items():
-        cache.put(key, value)
-    assert cache.save() == path
-
-    reloaded = FeatureCache(path=path)                 # eager load
-    assert len(reloaded) == 3
-    for key, value in matrices.items():
-        assert np.array_equal(reloaded.get(key), value)
-
-    merged = FeatureCache()
-    assert merged.load(path) == 3
-    assert np.array_equal(merged.get("key_0"), matrices["key_0"])
 
 
 def test_cache_save_without_path_raises():

@@ -93,6 +93,21 @@ def test_resolve_worker_count(monkeypatch):
     assert resolve_worker_count() >= 1
 
 
+def test_workers_env_zero_is_sequential_on_every_path(ds0, asr_suite,
+                                                     monkeypatch):
+    from repro.build import build
+    from repro.specs import DetectorSpec
+
+    monkeypatch.setenv("REPRO_WORKERS", "0")
+    assert resolve_worker_count() == 0
+    assert resolve_worker_count(n_tasks=3) == 0
+    engine = TranscriptionEngine(ds0, [asr_suite["DS1"]], cache=False)
+    assert engine.workers == 0                  # the default-engine path
+    spec = DetectorSpec.default().with_env_overlay({"REPRO_WORKERS": "0"})
+    assert spec.pipeline.workers == 0
+    assert build(spec, fit=False).engine.workers == 0   # the overlay path
+
+
 def test_batch_matches_per_clip(ds0, asr_suite, clips):
     engine = TranscriptionEngine(ds0, [asr_suite["DS1"]], workers=2, cache=False)
     batch = engine.transcribe_batch(clips)
@@ -156,15 +171,6 @@ def test_cache_key_distinguishes_same_short_name():
     assert engine_a.transcribe(clip).target.text == "from a"
     assert engine_b.transcribe(clip).target.text == "from b"
     assert b.calls == 1  # not served a's cached transcription
-
-
-def test_cache_lru_eviction():
-    cache = TranscriptionCache(capacity=2)
-    for key in ("a", "b", "c"):
-        cache.put(key, Transcription(text=key))
-    assert len(cache) == 2
-    assert cache.get("a") is None
-    assert cache.get("c").text == "c"
 
 
 def test_cache_disk_round_trip(tmp_path, clips):

@@ -9,16 +9,13 @@ processes must never lose each other's records.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
-from repro.asr.base import Transcription
 from repro.dsp.feature_cache import FeatureCache
-from repro.pipeline.cache import TranscriptionCache
 from repro.similarity.score_cache import PairScoreCache
 from repro.store import (
     ContentDirectoryStore,
@@ -28,11 +25,6 @@ from repro.store import (
 )
 
 _CTX = multiprocessing.get_context("fork")
-
-
-def _transcription(text: str) -> Transcription:
-    return Transcription(text=text, phonemes=("t", "e"), frame_labels=(1, 2),
-                         asr_name="T", elapsed_seconds=0.01, extra={})
 
 
 # ------------------------------------------------------------ atomic writes
@@ -67,54 +59,6 @@ def test_atomic_write_failure_keeps_old_file_and_cleans_up(tmp_path,
     with open(path, encoding="utf-8") as handle:
         assert handle.read() == "intact"
     assert sorted(os.listdir(tmp_path)) == ["store.json"]
-
-
-def _killed_mid_save(cache_path: str, kind: str) -> None:
-    """Child body: die between the temp write and the atomic replace."""
-    os.replace = lambda src, dst: os._exit(17)  # noqa: simulated crash
-    if kind == "transcription":
-        cache = TranscriptionCache(path=cache_path)
-        cache.put("k-new", _transcription("doomed"))
-        cache.save()
-    else:
-        cache = PairScoreCache(path=cache_path)
-        cache.put("k-new", 0.25)
-        cache.save()
-    os._exit(99)  # never reached: save() dies in the fake replace
-
-
-@pytest.mark.timeout(30)
-def test_writer_killed_mid_save_keeps_transcription_store(tmp_path):
-    path = str(tmp_path / "cache.json")
-    cache = TranscriptionCache(path=path)
-    cache.put("k-old", _transcription("survivor"))
-    cache.save()
-
-    child = _CTX.Process(target=_killed_mid_save, args=(path, "transcription"))
-    child.start()
-    child.join(timeout=20)
-    assert child.exitcode == 17, "child must have died inside save()"
-
-    reloaded = TranscriptionCache(path=path)
-    assert reloaded.get("k-old").text == "survivor"
-    assert reloaded.get("k-new") is None
-
-
-@pytest.mark.timeout(30)
-def test_writer_killed_mid_save_keeps_score_store(tmp_path):
-    path = str(tmp_path / "scores.json")
-    cache = PairScoreCache(path=path)
-    cache.put("k-old", 0.75)
-    cache.save()
-
-    child = _CTX.Process(target=_killed_mid_save, args=(path, "score"))
-    child.start()
-    child.join(timeout=20)
-    assert child.exitcode == 17
-
-    reloaded = PairScoreCache(path=path)
-    assert reloaded.get("k-old") == 0.75
-    assert reloaded.get("k-new") is None
 
 
 # ---------------------------------------------------------------- journal
@@ -208,28 +152,6 @@ def test_journal_concurrent_processes_lose_no_records(tmp_path):
 # ----------------------------------------------------- journal-backed caches
 
 
-def test_transcription_journal_cache_shares_across_instances(tmp_path):
-    path = str(tmp_path / "t.jsonl")
-    writer = TranscriptionCache(path=path)
-    reader = TranscriptionCache(path=path)
-
-    writer.put("k1", _transcription("hello"))
-    assert reader.get("k1") is None  # not merged yet
-    assert reader.refresh() == 1
-    assert reader.get("k1").text == "hello"
-    assert reader.get("k1").phonemes == ("t", "e")
-
-
-def test_score_journal_cache_shares_across_instances(tmp_path):
-    path = str(tmp_path / "s.jsonl")
-    writer = PairScoreCache(path=path)
-    reader = PairScoreCache(path=path)
-
-    writer.put("pair", 0.625)
-    assert reader.refresh() == 1
-    assert reader.get("pair") == 0.625
-
-
 def _cache_writer_process(path: str, writer_id: int, n: int) -> None:
     cache = PairScoreCache(path=path)
     for i in range(n):
@@ -295,19 +217,6 @@ def test_directory_store_corrupt_entry_is_a_miss(tmp_path):
     assert [key for key, _ in items] == ["good"]
 
 
-def test_feature_cache_directory_mode_cross_instance(tmp_path):
-    directory = str(tmp_path / "features")
-    writer = FeatureCache(path=directory)
-    matrix = np.linspace(0.0, 1.0, 12).reshape(3, 4)
-    writer.put("fk", matrix)
-
-    reader = FeatureCache(path=directory)
-    value = reader.get("fk")
-    assert np.array_equal(value, matrix)
-    assert not value.flags.writeable
-    assert reader.stats.hits == 1 and reader.stats.misses == 0
-
-
 def _feature_writer_process(directory: str, writer_id: int, n: int) -> None:
     cache = FeatureCache(path=directory)
     for i in range(n):
@@ -335,23 +244,6 @@ def test_feature_directory_concurrent_writers_agree(tmp_path):
     for i in range(20):
         assert np.array_equal(store.read(f"shared-{i}"),
                               np.full((3, 3), float(i)))
-
-
-# ----------------------------------------------------------- cache policies
-
-
-def test_cache_policy_accepts_journal_paths(tmp_path):
-    from repro.caching import resolve_cache_policy
-    from repro.errors import UnknownComponentError
-
-    journal = resolve_cache_policy(str(tmp_path / "c.jsonl"),
-                                   PairScoreCache, "score cache")
-    assert isinstance(journal, PairScoreCache)
-    snapshot = resolve_cache_policy(str(tmp_path / "c.json"),
-                                    PairScoreCache, "score cache")
-    assert isinstance(snapshot, PairScoreCache)
-    with pytest.raises(UnknownComponentError):
-        resolve_cache_policy("sharedd", PairScoreCache, "score cache")
 
 
 # ------------------------------------------------------- property (hypothesis)

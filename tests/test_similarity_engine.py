@@ -17,7 +17,6 @@ from repro.similarity.engine import (
     get_scoring_backend,
     get_shared_score_cache,
     register_scoring_backend,
-    resolve_score_cache,
     scoring_backend_names,
 )
 from repro.similarity.kernels import (
@@ -144,24 +143,6 @@ def test_backend_registry():
 
 
 # ------------------------------------------------------------- score cache
-def test_pair_score_cache_hit_miss_and_lru_eviction():
-    cache = PairScoreCache(capacity=2)
-    key = PairScoreCache.key_for
-    assert cache.get(key("t", "a", "b")) is None
-    cache.put(key("t", "a", "b"), 0.25)
-    cache.put(key("t", "a", "c"), 0.5)
-    assert cache.get(key("t", "a", "b")) == 0.25          # refreshes LRU order
-    cache.put(key("t", "a", "d"), 0.75)                   # evicts ("a","c")
-    assert cache.get(key("t", "a", "c")) is None
-    assert cache.get(key("t", "a", "b")) == 0.25
-    assert len(cache) == 2
-    assert cache.stats.hits == 2 and cache.stats.misses == 2
-    assert cache.stats.evictions == 1
-    assert cache.stats.hit_rate == 0.5
-    cache.clear()
-    assert len(cache) == 0 and cache.stats.lookups == 0
-    with pytest.raises(ValueError):
-        PairScoreCache(capacity=0)
 
 
 def test_pair_score_cache_keys_are_content_and_direction_aware():
@@ -169,24 +150,6 @@ def test_pair_score_cache_keys_are_content_and_direction_aware():
     assert key("t", "a", "b") != key("t", "b", "a")
     assert key("t", "a", "b") != key("u", "a", "b")
     assert key("t", "ab", "c") != key("t", "a", "bc")
-
-
-def test_pair_score_cache_disk_round_trip(tmp_path):
-    path = str(tmp_path / "scores.json")
-    cache = PairScoreCache(capacity=8, path=path)
-    key = PairScoreCache.key_for("tag", "hello there", "hello their")
-    cache.put(key, 0.875)
-    assert cache.save() == path
-
-    reloaded = PairScoreCache(capacity=8, path=path)
-    assert len(reloaded) == 1
-    assert reloaded.get(key) == 0.875
-
-    merged = PairScoreCache(capacity=8)
-    assert merged.load(path) == 1
-    assert merged.get(key) == 0.875
-    with pytest.raises(ValueError):
-        PairScoreCache().save()
 
 
 # ------------------------------------------------------------------- engine
@@ -248,23 +211,6 @@ def test_engine_accepts_scorer_names_and_instances():
     assert SimilarityEngine(scorer=get_scorer("Jaccard")).scorer.name == "Jaccard"
     with pytest.raises(KeyError):
         SimilarityEngine(scorer="nope")
-
-
-def test_resolve_score_cache(tmp_path):
-    assert resolve_score_cache(True) is True
-    assert resolve_score_cache(False) is False
-    assert resolve_score_cache(None) is False
-    assert resolve_score_cache("off") is False
-    assert resolve_score_cache("shared") is True
-    private = resolve_score_cache("private")
-    assert isinstance(private, PairScoreCache) and private.path is None
-    path = str(tmp_path / "store.json")
-    on_disk = resolve_score_cache(path)
-    assert isinstance(on_disk, PairScoreCache) and on_disk.path == path
-    existing = PairScoreCache()
-    assert resolve_score_cache(existing) is existing
-    with pytest.raises(KeyError):
-        resolve_score_cache("sharde")        # typo, not a path
 
 
 def test_shared_score_cache_is_process_wide():
