@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "means REPRO_SCALE or 'small')")
         sub.add_argument("--workers", type=int, default=None,
                          help="transcription worker-pool size "
-                              "(default: CPU count; 0 = sequential)")
+                              "(default: sequential; N opts into a pool)")
         sub.add_argument("--classifier", default=None, metavar="NAME",
                          help="classifier registry name (default: SVM)")
         # No argparse choices= here: the registry also resolves the

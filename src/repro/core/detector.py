@@ -2,9 +2,9 @@
 
 A detector is a target ASR, a set of auxiliary ASRs, a similarity scorer
 and a binary classifier.  Given an audio clip, every ASR transcribes it in
-parallel — recognition fans out across a
-:class:`~repro.pipeline.engine.TranscriptionEngine` worker pool, with
-``workers=0`` selecting the original sequential path — one similarity
+parallel — recognition runs through a
+:class:`~repro.pipeline.engine.TranscriptionEngine`, sequentially unless
+``workers=N`` opts into a thread pool — one similarity
 score per auxiliary is computed between the target transcription and that
 auxiliary's transcription through a
 :class:`~repro.similarity.engine.SimilarityEngine` (pluggable backend +
@@ -66,8 +66,9 @@ class MVPEarsDetector:
         scorer: similarity scorer or registry name (default: the paper's
             PE_JaroWinkler); ignored when ``scoring`` is a pre-built
             engine.
-        workers: transcription worker-pool size; ``0`` keeps the original
-            sequential path, ``None`` picks a default from the CPU count.
+        workers: transcription worker-pool size; ``None`` (from
+            ``REPRO_WORKERS``, unset by default) and ``0`` decode
+            sequentially, ``N`` opts into an ``N``-thread pool.
         engine: inject a pre-built :class:`TranscriptionEngine` (for a
             shared pool/cache); overrides ``workers``/``cache``.
         cache: transcription cache policy, passed through to the engine

@@ -4,10 +4,9 @@ Turns an audio clip (or a batch of pre-computed transcriptions) into the
 similarity-score feature vector consumed by the binary classifiers: one
 score per auxiliary ASR, each comparing the target ASR's transcription with
 that auxiliary's transcription.  Transcription is routed through a
-:class:`~repro.pipeline.engine.TranscriptionEngine`, so batches fan out
-across the worker pool and repeated clips hit the shared transcription
-cache; pass ``workers=0`` (or an engine built that way) to force the
-original sequential path.  Scoring is routed through a
+:class:`~repro.pipeline.engine.TranscriptionEngine`, so repeated clips
+hit the shared transcription cache; pass ``workers=N`` (or an engine
+built that way) to fan batches out across an ``N``-thread pool.  Scoring is routed through a
 :class:`~repro.similarity.engine.SimilarityEngine`, so every function here
 is a thin wrapper over its batch APIs: repeated text pairs hit the shared
 pair-score cache and each distinct transcription is encoded exactly once.

@@ -142,11 +142,11 @@ def compute_scored_dataset(bundle: DatasetBundle,
     :class:`~repro.specs.SuiteSpec` to score any other suite — plugins
     and transformed views included — keyed by each member's short name.
 
-    Recognition fans out across a
-    :class:`~repro.pipeline.engine.TranscriptionEngine` worker pool and
-    populates the process-wide transcription cache, so later experiments
-    (overhead, ablations, examples) that replay the same clips never
-    re-decode them.  Pass ``workers=0`` for the sequential path.
+    Recognition runs through a
+    :class:`~repro.pipeline.engine.TranscriptionEngine` and populates the
+    process-wide transcription cache, so later experiments (overhead,
+    ablations, examples) that replay the same clips never re-decode them.
+    Pass ``workers=N`` to fan it out across an ``N``-thread pool.
     """
     from repro.build import build_suite
     target_asr, auxiliaries = build_suite(

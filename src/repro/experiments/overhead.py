@@ -7,11 +7,11 @@ and the classification time — all negligible compared with the target
 model's own recognition time.
 
 The measurement routes through :class:`~repro.pipeline.detection
-.DetectionPipeline`, so recognition genuinely fans out across the engine
-worker pool and per-stage wall-clock timing comes straight from the
-pipeline.  Private, empty transcription *and* pair-score caches are used
-so every number reflects real decode and scoring work; pass ``workers=0``
-to reproduce the original sequential timing path and
+.DetectionPipeline`, so per-stage wall-clock timing comes straight from
+the pipeline.  Private, empty transcription *and* pair-score caches are
+used so every number reflects real decode and scoring work.  Recognition
+is sequential by default (``workers=None``); pass ``workers=N`` to time
+it across an ``N``-thread engine pool, and
 ``scoring_backend="reference"`` to time the original scalar scoring path.
 """
 
@@ -52,8 +52,8 @@ def run_overhead_measurement(bundle: DatasetBundle, dataset: ScoredDataset,
         dataset: pre-computed scores used to train the classifier.
         max_samples: number of clips to time.
         classifier_name: classifier registry name.
-        workers: engine pool size (``0`` = sequential path, ``None`` =
-            default parallel fan-out).
+        workers: engine pool size (``None``/``0`` = sequential path, the
+            default; ``N`` = an ``N``-thread pool).
         scoring_backend: similarity backend to time (``"fast"`` — the
             default everywhere — or ``"reference"``, the paper-faithful
             scalar path).

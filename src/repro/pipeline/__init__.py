@@ -8,9 +8,11 @@ into working code.
   (in-memory LRU plus an optional on-disk JSON store) so repeated clips
   and repeated experiment runs never re-decode audio.
 * :mod:`repro.pipeline.engine` — :class:`TranscriptionEngine`, which fans
-  one waveform (or a batch) out across the target + auxiliary ASR suite
-  with a ``concurrent.futures`` worker pool.  ``workers=0`` selects the
-  original sequential path so the paper's timing tables stay reproducible.
+  one waveform (or a batch) out across the target + auxiliary ASR suite,
+  sequentially by default or across a ``concurrent.futures`` thread pool
+  when ``workers=N`` opts in.
+* :mod:`repro.pipeline.blas` — holds the loaded OpenBLAS to one thread
+  while the engine decodes.
 * :mod:`repro.pipeline.detection` — :class:`DetectionPipeline`, which
   batches feature extraction → scoring → classification and reports
   per-stage timing compatible with the paper's overhead experiment.

@@ -1,21 +1,30 @@
-"""The parallel transcription engine.
+"""The transcription engine.
 
 The paper's deployment model (Section V-I) runs the target ASR and every
 auxiliary ASR *in parallel*, so the recognition overhead of the detector
 is only the time the slowest auxiliary needs beyond the target model.
-:class:`TranscriptionEngine` implements that model with a
-``concurrent.futures`` thread pool: one waveform (or a batch) fans out
-across the whole ASR suite, results are cached by audio content hash
-(see :mod:`repro.pipeline.cache`), and ``workers=0`` falls back to the
-original sequential path so the paper's timing tables stay reproducible.
+:class:`TranscriptionEngine` fans one waveform (or a batch) out across
+the whole ASR suite and caches results by audio content hash (see
+:mod:`repro.pipeline.cache`).
 
-Threads, not processes, are the right pool here: the simulated ASRs are
-numpy-heavy (the FFT front end and template scoring release the GIL) and
-their model state is effectively immutable after fitting.  The one
-mutable piece is the word decoder's per-instance segment memo dict,
-which only ever inserts deterministic values — concurrent inserts are
-benign under CPython's atomic dict operations, but it is *not* strictly
-read-only; keep that in mind before adding eviction or iteration there.
+By default the suite is decoded sequentially, one compute thread per
+process, with the loaded OpenBLAS held to one thread for the duration
+(see :mod:`repro.pipeline.blas`).  The simulated members hold the GIL:
+the word decoder makes thousands of small numpy calls, so a thread pool
+overlaps no work and only adds GIL hand-offs, while an idle OpenBLAS
+thread spins on a second core after every front-end GEMM.  On 2 CPUs,
+over 160 fresh clips, the old default (a 2-thread pool plus OpenBLAS's
+own threads) spent 12.9-13.4 CPU seconds, the sequential engine
+10.0-11.7 and the sequential engine with one BLAS thread 7.0-8.0, with
+byte-identical scores and verdicts.  Parallelism comes from processes
+instead: the service's workers and the experiment runner's shards.
+
+``workers=N`` (or ``REPRO_WORKERS=N``) opts into a ``concurrent.futures``
+thread pool, for backends that release the GIL.  Pool tasks share the
+word decoder's per-instance segment memo dict, which only ever inserts
+deterministic values — concurrent inserts are benign under CPython's
+atomic dict operations, but it is *not* strictly read-only; keep that in
+mind before adding eviction or iteration there.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from functools import lru_cache
 from repro.asr.base import ASRSystem, Transcription
 from repro.audio.waveform import Waveform
 from repro.content_cache import CacheStats
+from repro.pipeline.blas import single_threaded_blas
 from repro.pipeline.cache import TranscriptionCache
 
 #: Environment variable overriding the default worker-pool size.
@@ -43,15 +53,14 @@ SAMPLE_ARENA_ENV = "REPRO_SAMPLE_ARENA"
 def resolve_worker_count(n_tasks: int | None = None) -> int:
     """Default number of pool workers.
 
-    Resolution order: the ``REPRO_WORKERS`` environment variable, then the
-    CPU count.  When ``n_tasks`` is given the result is capped at it —
-    there is no point keeping more threads than concurrent transcriptions.
-    ``REPRO_WORKERS=0`` resolves to 0, the sequential path, as it does
-    through the spec overlay (and a negative value is left for the
-    engine to reject).
+    ``0`` — the sequential path — unless the ``REPRO_WORKERS``
+    environment variable opts into a pool.  When ``n_tasks`` is given a
+    pool size is capped at it — there is no point keeping more threads
+    than concurrent transcriptions.  A negative value is left for the
+    engine to reject.
     """
     raw = os.environ.get(WORKERS_ENV)
-    workers = int(raw) if raw else (os.cpu_count() or 1)
+    workers = int(raw) if raw else 0
     if workers <= 0:
         return workers
     if n_tasks is not None:
@@ -148,8 +157,9 @@ class TranscriptionEngine:
         target_asr: the model under protection.
         auxiliary_asrs: the diverse auxiliary models.
         workers: pool size.  ``0`` disables the pool entirely (the
-            original sequential path); ``None`` resolves a default from
-            ``REPRO_WORKERS`` / the CPU count, capped at the suite size.
+            sequential path); ``None`` resolves it from ``REPRO_WORKERS``,
+            which is unset by default (sequential), capped at the suite
+            size.
         cache: a transcription-cache policy (see
             :meth:`~repro.content_cache.ContentCache.resolve`).  ``True``
             (default) is the process-wide cache from
@@ -351,12 +361,13 @@ class TranscriptionEngine:
     def transcribe(self, audio: Waveform) -> SuiteTranscription:
         """Fan one waveform out across the whole suite."""
         start = time.perf_counter()
-        if self.workers == 0:
-            tasks = [self._run_one(asr, audio) for asr in self.asr_suite]
-        else:
-            futures = [self._executor().submit(self._run_one, asr, audio)
-                       for asr in self.asr_suite]
-            tasks = [future.result() for future in futures]
+        with single_threaded_blas():
+            if self.workers == 0:
+                tasks = [self._run_one(asr, audio) for asr in self.asr_suite]
+            else:
+                futures = [self._executor().submit(self._run_one, asr, audio)
+                           for asr in self.asr_suite]
+                tasks = [future.result() for future in futures]
         return self._collect(tasks, time.perf_counter() - start)
 
     def transcribe_batch(self, audios: list[Waveform]) -> list[SuiteTranscription]:
@@ -371,15 +382,17 @@ class TranscriptionEngine:
             return []
         start = time.perf_counter()
         audios = self._adopt_samples(audios)
-        self._prewarm_features(audios)
         suite = self.asr_suite
-        if self.workers == 0:
-            grid = [[self._run_one(asr, audio) for asr in suite]
-                    for audio in audios]
-        else:
-            futures = [[self._executor().submit(self._run_one, asr, audio)
-                        for asr in suite] for audio in audios]
-            grid = [[future.result() for future in row] for row in futures]
+        with single_threaded_blas():
+            self._prewarm_features(audios)
+            if self.workers == 0:
+                grid = [[self._run_one(asr, audio) for asr in suite]
+                        for audio in audios]
+            else:
+                futures = [[self._executor().submit(self._run_one, asr, audio)
+                            for asr in suite] for audio in audios]
+                grid = [[future.result() for future in row]
+                        for row in futures]
         wall_seconds = time.perf_counter() - start
         # Attribute the batch wall time evenly; per-transcription decode
         # costs stay available on each Transcription.elapsed_seconds.

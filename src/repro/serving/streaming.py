@@ -4,8 +4,8 @@
 fitted :class:`~repro.core.detector.MVPEarsDetector`: the stream is cut
 into overlapping windows (:mod:`repro.serving.chunker`), every window is
 scored through the batched
-:class:`~repro.pipeline.detection.DetectionPipeline` (so recognition of
-consecutive windows overlaps in the engine's worker pool, and similarity
+:class:`~repro.pipeline.detection.DetectionPipeline` (so consecutive
+windows reach the engine as one batch, and similarity
 scoring of repeated transcription pairs — overlapping windows re-hear the
 same audio — is served from the detector's shared pair-score cache), and
 the per-window verdicts fold into a stream-level verdict with hysteresis

@@ -399,8 +399,10 @@ class PipelineSpec:
     """The execution layer: transcription fan-out, caching, front end.
 
     Attributes:
-        workers: worker-pool size (``0`` = the paper-faithful sequential
-            path, ``None`` = ``REPRO_WORKERS`` / CPU count).
+        workers: transcription worker-pool size.  ``None`` (the
+            default) and ``0`` decode sequentially, one compute thread
+            per process; ``N`` opts into an ``N``-thread pool, for
+            backends that release the GIL.
         cache: transcription cache policy — ``"shared"``, ``"private"``,
             ``"off"`` or an on-disk JSON path (see
             :func:`repro.pipeline.engine.resolve_transcription_cache`).

@@ -90,7 +90,30 @@ def test_resolve_worker_count(monkeypatch):
     assert resolve_worker_count() == 6
     assert resolve_worker_count(n_tasks=2) == 2
     monkeypatch.delenv("REPRO_WORKERS")
-    assert resolve_worker_count() >= 1
+    assert resolve_worker_count() == 0
+
+
+def test_default_engine_matches_pool_byte_for_byte(ds0, asr_suite,
+                                                   synthesizer, monkeypatch):
+    from repro.dsp.engine import FeatureEngine
+
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    fresh = [synthesizer.synthesize(text) for text in (
+        "turn the kitchen lights off", "call my sister after lunch",
+        "the river froze early that winter")]
+    auxiliaries = [asr_suite["DS1"], asr_suite["GCS"], asr_suite["AT"]]
+    batches = []
+    for workers in (None, 2):
+        detector = MVPEarsDetector(
+            ds0, auxiliaries, workers=workers, cache=False,
+            feature_engine=FeatureEngine(cache="private"))
+        _train(detector, np.random.default_rng(0))
+        assert detector.engine.workers == (workers or 0)
+        with detector.engine:
+            batches.append(DetectionPipeline(detector).detect_batch(fresh))
+    default, pooled = batches
+    assert default.features.tobytes() == pooled.features.tobytes()
+    assert default.predictions.tobytes() == pooled.predictions.tobytes()
 
 
 def test_workers_env_zero_is_sequential_on_every_path(ds0, asr_suite,
